@@ -384,6 +384,19 @@ pub struct UnitPool {
     flights: Mutex<HashMap<u128, Arc<Flight>>>,
 }
 
+/// A test probe into [`UnitPool::run_unit`]'s claim path.
+#[cfg(test)]
+type RaceHook = fn(&UnitPool, u128);
+
+#[cfg(test)]
+thread_local! {
+    /// Runs in [`UnitPool::run_unit`] on this thread after the caller's
+    /// memory miss and before the flight claim, so tests can land a foreign
+    /// owner's publication in that window.
+    static BETWEEN_MISS_AND_CLAIM: std::cell::Cell<Option<RaceHook>> =
+        const { std::cell::Cell::new(None) };
+}
+
 impl UnitPool {
     /// A pool admitting at most [`resolve_jobs`]`(jobs)` concurrent unit
     /// computations across all its clients.
@@ -497,15 +510,11 @@ impl UnitPool {
             .collect())
     }
 
-    /// A payload from the warm map, decoded; `None` on absence (or on a decode
-    /// mismatch, which sends the caller down the normal compute path).
-    fn load_mem(&self, digest: u128, codec: &crate::scenario::UnitCodec) -> Option<UnitOutput> {
-        let payload = {
-            // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-            let mem = self.mem.lock().expect("no worker panicked");
-            mem.get(&digest).cloned()
-        }?;
-        (codec.decode)(&payload)
+    /// The warm map's payload for a digest, if any.
+    fn mem_payload(&self, digest: u128) -> Option<Value> {
+        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
+        let mem = self.mem.lock().expect("no worker panicked");
+        mem.get(&digest).cloned()
     }
 
     /// Admit a payload to the warm map under the disk cache's round-trip rule.
@@ -547,8 +556,9 @@ impl UnitPool {
         }
     }
 
-    /// Run one claimed unit through memory cache → single-flight → disk cache →
-    /// gated computation. Returns the output, the cache event, and any store
+    /// Run one claimed unit (a memory miss at the caller's inline pass) through
+    /// single-flight → memory map → disk cache → gated computation. Returns
+    /// the output, the cache event, and any store
     /// error — or `Err(Cancelled)` when the caller's probe fired while queued
     /// (a flight this worker owned resolves as failed via its guard, waking
     /// foreign waiters to re-contest).
@@ -564,8 +574,9 @@ impl UnitPool {
             return Ok(((unit.run)(), CacheEvent::Uncached, None));
         };
         let digest = key.digest_u128();
-        if let Some(output) = self.load_mem(digest, codec) {
-            return Ok((output, CacheEvent::Hit, None));
+        #[cfg(test)]
+        if let Some(hook) = BETWEEN_MISS_AND_CLAIM.get() {
+            hook(self, digest);
         }
         // Plain batches over a fresh pool keep the historical accounting: with no
         // disk cache configured, computed units are uncached, not misses.
@@ -594,6 +605,16 @@ impl UnitPool {
                 },
                 FlightClaim::Owner => {
                     let guard = self.flight_guard(digest);
+                    // Checked under ownership, not before the claim: an owner
+                    // publishes to the map before retiring its flight, so a
+                    // unit computed since the caller's miss is served from
+                    // the map here instead of being computed a second time.
+                    if let Some(payload) = self.mem_payload(digest) {
+                        if let Some(output) = (codec.decode)(&payload) {
+                            guard.complete(payload);
+                            return Ok((output, CacheEvent::Hit, None));
+                        }
+                    }
                     let mut event = base_event;
                     if let Some(cache) = cache {
                         match cache.load(key) {
@@ -645,6 +666,12 @@ impl UnitPool {
 
     /// [`UnitPool::execute_units`] with an optional cancellation probe (see
     /// [`UnitPool::run_plans_cancellable`] for the abort semantics).
+    ///
+    /// Warm-map hits are resolved first, inline on the calling thread under one
+    /// lock acquisition, and reported to `progress` in unit order. Only the
+    /// residual units reach the claim loop — and with it the workers, the
+    /// cancellation probe, the gate and the flight table — so an all-hit call
+    /// spawns no thread and never probes.
     fn execute_units_cancellable(
         &self,
         tasks: Vec<PlanUnit<'_>>,
@@ -653,20 +680,45 @@ impl UnitPool {
         cancel: Option<Cancel<'_>>,
     ) -> Result<Vec<(UnitOutput, CacheEvent)>, String> {
         let total = tasks.len();
-        let completed = AtomicUsize::new(0);
+        let mut tasks: Vec<Option<PlanUnit<'_>>> = tasks.into_iter().map(Some).collect();
+        let mut slots: Vec<Option<(UnitOutput, CacheEvent)>> = (0..total).map(|_| None).collect();
+        let mut hits = 0;
+        {
+            // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
+            let mem = self.mem.lock().expect("no worker panicked");
+            // A fresh pool (every one-shot batch) has nothing to look up.
+            if !mem.is_empty() {
+                for (task, slot) in tasks.iter_mut().zip(&mut slots) {
+                    let Some(Some((key, codec))) = task.as_ref().map(|unit| &unit.cache) else {
+                        continue;
+                    };
+                    if let Some(output) =
+                        mem.get(&key.digest_u128()).and_then(|p| (codec.decode)(p))
+                    {
+                        *slot = Some((output, CacheEvent::Hit));
+                        *task = None;
+                        hits += 1;
+                    }
+                }
+            }
+        }
+        let completed = AtomicUsize::new(hits);
         let report_progress = |n: usize| {
             if let Some(progress) = progress {
                 progress(n, total);
             }
         };
+        (1..=hits).for_each(report_progress);
+
         let probe_cancel = || cancel.is_some_and(|probe| probe());
         // Same jobs-resolution rules as every other work-stealing layer. The claim
         // loop below is not `work_steal_map` itself only because plan units are
         // `FnOnce` (consumed on execution), which that Fn-based API cannot express.
-        let jobs = desim::par::resolve_threads(self.jobs, total);
-        if jobs <= 1 || total <= 1 {
-            let mut out = Vec::with_capacity(total);
-            for unit in tasks {
+        let pending = total - hits;
+        let jobs = desim::par::resolve_threads(self.jobs, pending);
+        if jobs <= 1 || pending <= 1 {
+            for (i, unit) in tasks.into_iter().enumerate() {
+                let Some(unit) = unit else { continue };
                 if probe_cancel() {
                     return Err(CANCELLED_MSG.to_string());
                 }
@@ -676,31 +728,31 @@ impl UnitPool {
                 if let Some(err) = store_err {
                     return Err(err);
                 }
-                out.push((output, event));
+                slots[i] = Some((output, event));
                 report_progress(completed.fetch_add(1, Ordering::Relaxed) + 1);
             }
-            return Ok(out);
+            return Ok(filled(slots));
         }
 
         let next = AtomicUsize::new(0);
         let cancelled = AtomicBool::new(false);
-        let tasks: Mutex<Vec<Option<PlanUnit<'_>>>> =
-            Mutex::new(tasks.into_iter().map(Some).collect());
-        let slots: Mutex<Vec<Option<(UnitOutput, CacheEvent)>>> =
-            Mutex::new((0..total).map(|_| None).collect());
+        let residual: Vec<usize> = (0..total).filter(|&i| tasks[i].is_some()).collect();
+        let tasks = Mutex::new(tasks);
+        let slots = Mutex::new(slots);
         let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 scope.spawn(|| loop {
                     if probe_cancel() {
                         cancelled.store(true, Ordering::Relaxed);
-                        next.store(total, Ordering::Relaxed);
+                        next.store(pending, Ordering::Relaxed);
                         break;
                     }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
+                    let claim = next.fetch_add(1, Ordering::Relaxed);
+                    if claim >= pending {
                         break;
                     }
+                    let i = residual[claim];
                     // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
                     let unit = tasks.lock().expect("no worker panicked")[i]
                         .take()
@@ -710,7 +762,7 @@ impl UnitPool {
                         // The batch is abandoned: stop every worker and let the
                         // cancelled flag (checked before slots) carry the error.
                         cancelled.store(true, Ordering::Relaxed);
-                        next.store(total, Ordering::Relaxed);
+                        next.store(pending, Ordering::Relaxed);
                         break;
                     };
                     if let Some(err) = store_err {
@@ -718,7 +770,7 @@ impl UnitPool {
                         store_errors.lock().expect("no worker panicked").push(err);
                         // The batch is already doomed (its outputs will be discarded):
                         // exhaust the claim counter so no worker pays for more units.
-                        next.store(total, Ordering::Relaxed);
+                        next.store(pending, Ordering::Relaxed);
                     }
                     // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
                     slots.lock().expect("no worker panicked")[i] = Some((output, event));
@@ -738,15 +790,18 @@ impl UnitPool {
         {
             return Err(err);
         }
-        Ok(slots
-            .into_inner()
-            // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-            .expect("no worker panicked")
-            .into_iter()
-            // audit:allow(unwrap-in-library): the loop above claimed and filled every slot
-            .map(|slot| slot.expect("every unit ran"))
-            .collect())
+        // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
+        Ok(filled(slots.into_inner().expect("no worker panicked")))
     }
+}
+
+/// Unwrap a completed call's per-unit slots, in unit order.
+fn filled(slots: Vec<Option<(UnitOutput, CacheEvent)>>) -> Vec<(UnitOutput, CacheEvent)> {
+    slots
+        .into_iter()
+        // audit:allow(unwrap-in-library): the inline memory pass and the claim loop together filled every slot
+        .map(|slot| slot.expect("every unit ran"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1168,5 +1223,133 @@ mod tests {
         assert_eq!(recomputed, 0);
         assert_eq!(hits as usize, CLIENTS * UNITS - UNITS);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_owner_serves_a_result_published_between_its_miss_and_its_claim() {
+        // The single-flight race: a unit misses the warm map, then a foreign
+        // owner publishes it and retires its flight, then this worker wins the
+        // (now empty) flight table. The owner must serve the published payload
+        // rather than compute the unit a second time. The hook is
+        // thread-local, so every case keeps its residual units on the calling
+        // thread: one job, or a single unit.
+        BETWEEN_MISS_AND_CLAIM.set(Some(|pool, digest| pool.store_mem(digest, &Value::U64(7))));
+        for (jobs, units) in [(1, 8), (4, 1)] {
+            let pool = UnitPool::new(jobs);
+            let runs = AtomicUsize::new(0);
+            let outcome = pool
+                .run_plans_cached(vec![plan_squaring_cached("sq", units, &runs)], None)
+                .unwrap()
+                .pop()
+                .unwrap();
+            assert_eq!(
+                runs.load(Ordering::Relaxed),
+                0,
+                "jobs={jobs}: unit recomputed"
+            );
+            assert_eq!(outcome.cache.hits, units as u64, "jobs={jobs}");
+            for i in 0..units {
+                assert_eq!(outcome.report.metric(&format!("sq{i}")), Some(7.0));
+            }
+            assert_eq!(pool.flights_in_progress(), 0);
+            assert_eq!(pool.permits_in_use(), 0);
+        }
+        BETWEEN_MISS_AND_CLAIM.set(None);
+    }
+
+    #[test]
+    fn an_all_memory_hit_call_never_probes_and_reports_progress_in_order() {
+        let pool = UnitPool::new(4);
+        let runs = AtomicUsize::new(0);
+        let cold = pool
+            .run_plans_cached(vec![plan_squaring_cached("sq", 12, &runs)], None)
+            .unwrap()
+            .pop()
+            .unwrap();
+        let probes = AtomicUsize::new(0);
+        let probe = || {
+            probes.fetch_add(1, Ordering::Relaxed);
+            false
+        };
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let progress = |done: usize, total: usize| {
+            seen.lock()
+                .unwrap()
+                .push((done, total, std::thread::current().id()));
+        };
+        let warm = pool
+            .run_plans_cancellable(
+                vec![plan_squaring_cached("sq", 12, &runs)],
+                None,
+                Some(&progress),
+                Some(&probe),
+            )
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!(runs.load(Ordering::Relaxed), 12, "warm call ran units");
+        assert_eq!(probes.load(Ordering::Relaxed), 0, "warm call probed");
+        // Every event comes from the calling thread: no worker was spawned.
+        let expected: Vec<_> = (1..=12).map(|done| (done, 12, caller)).collect();
+        assert_eq!(seen.into_inner().unwrap(), expected);
+        assert_eq!(warm.cache.hits, 12);
+        assert_eq!(warm.report.to_json(), cold.report.to_json());
+    }
+
+    #[test]
+    fn only_residual_units_reach_the_cancel_probe() {
+        // Units 0..6 are warm, 6..12 are cold. On a one-job pool the residual
+        // runs inline, probed exactly once per unit it computes.
+        let pool = UnitPool::new(1);
+        let runs = AtomicUsize::new(0);
+        pool.run_plans_cached(vec![plan_squaring_cached("sq", 6, &runs)], None)
+            .unwrap();
+        let probes = AtomicUsize::new(0);
+        let probe = || {
+            probes.fetch_add(1, Ordering::Relaxed);
+            false
+        };
+        let seen = Mutex::new(Vec::new());
+        let progress = |done: usize, total: usize| seen.lock().unwrap().push((done, total));
+        let mixed = pool
+            .run_plans_cancellable(
+                vec![plan_squaring_cached("sq", 12, &runs)],
+                None,
+                Some(&progress),
+                Some(&probe),
+            )
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!(runs.load(Ordering::Relaxed), 12, "each unit computed once");
+        assert_eq!(
+            probes.load(Ordering::Relaxed),
+            6,
+            "one probe per computed unit"
+        );
+        let expected: Vec<_> = (1..=12).map(|done| (done, 12)).collect();
+        assert_eq!(seen.into_inner().unwrap(), expected);
+        assert_eq!(mixed.cache.hits, 6);
+        let fresh = run_plans_cached(vec![plan_squaring_cached("sq", 12, &runs)], 2, None)
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!(mixed.report.to_json(), fresh.report.to_json());
+
+        // With four workers the residual is still the only probed work: one
+        // probe per claimed unit plus one per worker's final, empty claim.
+        let pool = UnitPool::new(4);
+        pool.run_plans_cached(vec![plan_squaring_cached("sq", 6, &runs)], None)
+            .unwrap();
+        probes.store(0, Ordering::Relaxed);
+        pool.run_plans_cancellable(
+            vec![plan_squaring_cached("sq", 12, &runs)],
+            None,
+            None,
+            Some(&probe),
+        )
+        .unwrap();
+        assert_eq!(probes.load(Ordering::Relaxed), 6 + 4);
     }
 }

@@ -39,10 +39,10 @@
 //! the acceptor, lets queued and in-flight requests finish up to `--drain-ms`,
 //! and returns a [`DrainSummary`]. While draining, `/healthz` answers `503
 //! draining` so load balancers stop routing here. A client that disconnects
-//! mid-request is detected (socket probe between units in artifact mode, dead
-//! progress stream in `?progress=1` mode) and its waits are cancelled — but only
-//! the waits it uniquely owns: single-flight computations with other interested
-//! clients fail over to those waiters (see
+//! mid-request is detected (socket probe between computed units in artifact
+//! mode, dead progress stream in `?progress=1` mode) and its waits are
+//! cancelled — but only the waits it uniquely owns: single-flight computations
+//! with other interested clients fail over to those waiters (see
 //! [`UnitPool::run_plans_cancellable`]).
 //!
 //! # Endpoints
@@ -801,31 +801,31 @@ fn handle_run(
     let units = plan.unit_count();
 
     if !submission.progress {
-        // Artifact mode: between units, probe the socket so a vanished client
-        // stops costing compute. The probe is serialized by a mutex because it
-        // briefly flips the socket non-blocking, and it never runs
-        // concurrently with the response write (which happens after the run).
-        let probe_stream = stream.try_clone().ok().map(Mutex::new);
+        // Artifact mode: between computed units, probe the socket so a vanished
+        // client stops costing compute (the pool never probes for memory hits).
+        // The probe borrows the stream — no descriptor is duplicated — and is
+        // serialized by a mutex because it briefly flips the socket
+        // non-blocking; it never runs concurrently with the response write
+        // (which happens after the run).
         let gone = AtomicBool::new(false);
-        let cancel = || {
-            if gone.load(Ordering::SeqCst) {
-                return true;
-            }
-            let Some(lock) = &probe_stream else {
-                return false;
+        let outcome = {
+            let probe_stream = Mutex::new(&*stream);
+            let cancel = || {
+                if gone.load(Ordering::SeqCst) {
+                    return true;
+                }
+                // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
+                let probe = probe_stream.lock().expect("no worker panicked");
+                if tiny_http::client_disconnected(&probe) {
+                    gone.store(true, Ordering::SeqCst);
+                    return true;
+                }
+                false
             };
-            // audit:allow(unwrap-in-library): a poisoned lock means a worker already panicked; propagate that panic
-            let probe = lock.lock().expect("no worker panicked");
-            if tiny_http::client_disconnected(&probe) {
-                gone.store(true, Ordering::SeqCst);
-                return true;
-            }
-            false
-        };
-        let outcome =
             state
                 .pool
-                .run_plans_cancellable(vec![plan], state.cache.as_ref(), None, Some(&cancel));
+                .run_plans_cancellable(vec![plan], state.cache.as_ref(), None, Some(&cancel))
+        };
         return match outcome {
             Err(message) if message == CANCELLED_MSG && gone.load(Ordering::SeqCst) => {
                 // The client is gone; there is nobody to answer.
