@@ -23,9 +23,12 @@
 //!
 //! Entries live under `<root>/units/<digest>.json`, each a self-describing JSON
 //! document `{cache_schema, key, checksum, payload}` where `checksum` is the stable
-//! hash of the payload's canonical JSON. Reads verify the schema, the full key echo
-//! (collisions included) and the checksum; any mismatch — truncation, bit flips,
-//! format drift — evicts the entry and recomputes instead of poisoning artifacts.
+//! hash of the payload's canonical compact JSON, which the writer puts last. Reads
+//! verify the schema, the full key echo (collisions included) and the checksum over
+//! the payload bytes exactly as stored, so a payload whose bytes are not the
+//! canonical rendering (re-indented by hand, say) is recomputed, never served, even
+//! when it parses to the same value. Any mismatch — truncation, bit flips, format
+//! drift — evicts the entry and recomputes instead of poisoning artifacts.
 //! Writes go to a unique temp file followed by an atomic rename, so concurrent
 //! workers (`--jobs N`) and even concurrent processes sharing one cache directory
 //! never observe torn entries; last-writer-wins is harmless because entry content is
@@ -319,6 +322,8 @@ impl UnitCache {
             ),
             ("key".into(), key.to_value()),
             ("checksum".into(), Value::Str(checksum)),
+            // Last, so its bytes end the document: reads hash them in place
+            // (see `stored_payload`).
             ("payload".into(), payload.clone()),
         ]);
         let mut json = serde_json::to_string(&entry)
@@ -374,6 +379,21 @@ fn payload_checksum(payload: &Value) -> Result<String, String> {
         .map_err(|e| format!("serialize cache payload: {e}"))
 }
 
+/// The payload of an entry document exactly as stored: everything after the
+/// first `,"payload":` up to the closing `}` before the trailing newline.
+///
+/// [`UnitCache::store`] renders the payload last, as its canonical compact
+/// JSON, so in a writer-produced entry these are the bytes the checksum was
+/// taken over. The first match is the real field: the key object has no
+/// `payload` field, and inside a JSON string every `"` is escaped, so a `,"`
+/// there is a string's closing quote, which `payload` can never follow. Any
+/// other document yields bytes that fail the checksum.
+fn stored_payload(text: &str) -> Option<&str> {
+    const FIELD: &str = ",\"payload\":";
+    let start = text.find(FIELD)? + FIELD.len();
+    text.strip_suffix("}\n")?.get(start..)
+}
+
 /// Parse and verify one entry document. `expect_key` additionally requires the
 /// embedded key to match (digest collisions and misfiled entries read as corrupt).
 /// Returns the payload on success.
@@ -395,15 +415,17 @@ fn verify_entry_parts(text: &str, expect_key: Option<&UnitKey>) -> Option<(UnitK
             return None;
         }
     }
-    let checksum = match doc.get("checksum")? {
-        Value::Str(s) => s.clone(),
-        _ => return None,
+    let Some(Value::Str(checksum)) = doc.get("checksum") else {
+        return None;
     };
-    let payload = doc.get("payload")?;
-    if payload_checksum(payload).ok()? != checksum {
+    if stable_hash_hex(stored_payload(text)?) != *checksum {
         return None;
     }
-    Some((embedded, payload.clone()))
+    let Value::Map(fields) = doc else {
+        return None;
+    };
+    let (_, payload) = fields.into_iter().find(|(name, _)| name == "payload")?;
+    Some((embedded, payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -804,6 +826,101 @@ mod tests {
         // Copy a's entry into b's slot: intact checksum, wrong key echo.
         std::fs::copy(cache.entry_path(&ka), cache.entry_path(&kb)).unwrap();
         assert!(matches!(cache.load(&kb), CacheLookup::Corrupt));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn reindented_payload_reads_as_corrupt_and_is_evicted() {
+        // Same value, different bytes: the checksum covers the stored bytes,
+        // so only the writer's canonical rendering is served.
+        let root = tmp_root("reindent");
+        let cache = UnitCache::open(&root).unwrap();
+        let key = demo_key(0);
+        let payload = Value::Map(vec![(
+            "row".into(),
+            Value::Seq(vec![Value::U64(1), Value::F64(0.5)]),
+        )]);
+        cache.store(&key, &payload).unwrap();
+        let path = cache.entry_path(&key);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let reindented = text.replace(
+            "\"payload\":{\"row\":[1,0.5]}",
+            "\"payload\":{\n  \"row\": [\n    1,\n    0.5\n  ]\n}",
+        );
+        assert_ne!(reindented, text);
+        let doc = serde_json::value_from_str(&reindented).unwrap();
+        assert_eq!(doc.get("payload"), Some(&payload), "same value");
+        std::fs::write(&path, reindented).unwrap();
+
+        assert!(matches!(cache.load(&key), CacheLookup::Corrupt));
+        assert!(matches!(cache.load(&key), CacheLookup::Miss));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn field_delimiters_inside_strings_round_trip_as_hits() {
+        let root = tmp_root("delimiters");
+        let cache = UnitCache::open(&root).unwrap();
+        let tricky = ",\"payload\":}\n";
+        let key = UnitKeyer::new(tricky, &Value::Str(tricky.into()), 7).key(0, 0);
+        let payload = Value::Map(vec![
+            (tricky.into(), Value::Str(tricky.into())),
+            ("payload".into(), Value::Str("}".into())),
+            ("}".into(), Value::Seq(vec![Value::Str(",\"".into())])),
+        ]);
+        cache.store(&key, &payload).unwrap();
+        match cache.load(&key) {
+            CacheLookup::Hit(back) => assert_eq!(back, payload),
+            other => panic!("expected hit, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn entries_written_before_byte_checksums_still_hit() {
+        // An entry exactly as the writer produced it before the checksum was
+        // checked over the stored bytes: the on-disk format is unchanged.
+        const PINNED: &str = concat!(
+            r#"{"cache_schema":2,"key":{"cache_schema":2,"scenario":"pin,\"payload\":}","#,
+            r#""fingerprint":"4d53ef231bd2c697624770018a8d5273","seed":7,"grid_index":3,"#,
+            r#""replication_index":1},"checksum":"1f5448ac1d5054b602c5263cbb995ebe","#,
+            r#""payload":{"row":[32,0.25,10.24],"label":"a,\"payload\":}\n✓","#,
+            r#""ci":[-0.0,1e-7,-3,1e16]}}"#,
+            "\n"
+        );
+        let root = tmp_root("pinned");
+        let cache = UnitCache::open(&root).unwrap();
+        let config = Value::Map(vec![("nodes".into(), Value::U64(32))]);
+        let key = UnitKeyer::new("pin,\"payload\":}", &config, 7).key(3, 1);
+        assert_eq!(key.digest(), "e39c455c0f558a31b76e8e22d248d822");
+        let payload = Value::Map(vec![
+            (
+                "row".into(),
+                Value::Seq(vec![Value::U64(32), Value::F64(0.25), Value::F64(10.24)]),
+            ),
+            ("label".into(), Value::Str("a,\"payload\":}\n✓".into())),
+            (
+                "ci".into(),
+                Value::Seq(vec![
+                    Value::F64(-0.0),
+                    Value::F64(1e-7),
+                    Value::I64(-3),
+                    Value::F64(1e16),
+                ]),
+            ),
+        ]);
+        std::fs::write(cache.entry_path(&key), PINNED).unwrap();
+        match cache.load(&key) {
+            CacheLookup::Hit(back) => assert_eq!(back, payload),
+            other => panic!("pinned entry did not hit: {other:?}"),
+        }
+        // The writer still produces exactly these bytes.
+        cache.evict(&key);
+        cache.store(&key, &payload).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(cache.entry_path(&key)).unwrap(),
+            PINNED
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

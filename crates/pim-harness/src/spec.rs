@@ -1355,10 +1355,12 @@ mod tests {
                 "remote_fractions",
             ),
             (
+                // JSON cannot carry an infinite latency: the parser refuses
+                // the overflowing literal before validation sees it.
                 "infinite latency",
                 r#"{"schema_version": 1, "name": "x", "description": "d", "model": "parcels",
                     "grid": {"node_counts":[1],"parallelisms":[1],"latencies":[1e999],"remote_fractions":[0.1]}}"#,
-                "latency",
+                "number out of range",
             ),
             (
                 "bad name",
@@ -1388,6 +1390,25 @@ mod tests {
                 "{label}: error '{err}' does not mention '{needle}'"
             );
         }
+        // A value tree built in code can still hold one, and validation
+        // names the field.
+        let mut tree = serde_json::value_from_str(
+            r#"{"schema_version": 1, "name": "x", "description": "d", "model": "parcels",
+                "grid": {"node_counts":[1],"parallelisms":[1],"latencies":[1.0],"remote_fractions":[0.1]}}"#,
+        )
+        .unwrap();
+        let Value::Map(top) = &mut tree else {
+            panic!("spec is an object")
+        };
+        let Some((_, Value::Map(grid))) = top.iter_mut().find(|(k, _)| k == "grid") else {
+            panic!("spec has a grid")
+        };
+        let Some((_, latencies)) = grid.iter_mut().find(|(k, _)| k == "latencies") else {
+            panic!("grid has latencies")
+        };
+        *latencies = Value::Seq(vec![Value::F64(f64::INFINITY)]);
+        let err = spec_from_value(&tree).unwrap_err();
+        assert!(err.contains("latency"), "infinite latency: {err}");
     }
 
     #[test]

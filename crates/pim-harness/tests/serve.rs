@@ -315,6 +315,23 @@ fn duplicate_query_parameters_are_rejected_with_400() {
 }
 
 #[test]
+fn deeply_nested_spec_is_a_400_and_the_daemon_keeps_serving() {
+    // 10 000 nested `[` once overflowed a worker's stack, which aborts the
+    // whole process; the parser's depth cap turns it into a spec error.
+    let addr = start(&ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let body = format!("{{\"schema_version\": {}", "[".repeat(10_000));
+    let resp = client::request(&addr, "POST", "/run", &[], body.as_bytes()).expect("nested");
+    assert_eq!(resp.status, 400);
+    let text = String::from_utf8_lossy(&resp.body);
+    assert!(text.contains("nesting deeper than 128 levels"), "{text}");
+    let health = client::request(&addr, "GET", "/healthz", &[], b"").expect("healthz after");
+    assert_eq!(health.status, 200);
+}
+
+#[test]
 fn silent_connections_are_reaped_with_408_and_the_daemon_keeps_serving() {
     let addr = start(&ServeOptions {
         workers: 1,
