@@ -595,9 +595,12 @@ impl<E> EventQueue<E> for CalendarQueue<E> {
 /// tail is appended in O(1); everything else (short-delay events scheduled "under"
 /// the tail) goes to a small binary heap. `pop` compares the two heads.
 ///
-/// In the parcel models, in-flight round trips — thousands of pending events at the
-/// Figure 12 scale — ride the FIFO band, leaving the heap with only the handful of
-/// short-delay service events, so the `O(log n)` sift cost applies to a tiny `n`.
+/// In the discrete-event parcel test system (the network ablation's 16 nodes × up to
+/// 32 contexts), in-flight round trips — hundreds of pending events — ride the FIFO
+/// band, leaving the heap with only the handful of short-delay service events, so the
+/// `O(log n)` sift cost applies to a tiny `n`. (The flat-latency Figure 11/12 sweeps
+/// no longer use the engine: their nodes are independent, and a per-node kernel in
+/// `pim-parcels` keeps each node's returns in a plain FIFO.)
 /// In the worst case (no monotone structure) every push lands in the heap and the
 /// queue degrades gracefully to [`BinaryHeapQueue`] behaviour.
 ///

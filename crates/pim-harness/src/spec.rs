@@ -1382,6 +1382,19 @@ mod tests {
                     "grid": {"node_counts":[1],"parallelisms":[1],"latencies":[1.0],"remote_fractions":[0.1]}}"#,
                 "replications",
             ),
+            (
+                // Every round trip and the one-cycle horizon round to tick 0, so
+                // running this spec used to spin forever at time zero.
+                "cycle below one engine tick",
+                r#"{"schema_version":1,"name":"h","description":"d","model":"parcels","config":{"horizon_cycles":1.0,"cycle_ns":1e-4},"grid":{"node_counts":[1],"parallelisms":[1],"latencies":[0.0],"remote_fractions":[0.05]}}"#,
+                "cycle_ns",
+            ),
+            (
+                "latency beyond the engine clock",
+                r#"{"schema_version": 1, "name": "x", "description": "d", "model": "parcels",
+                    "grid": {"node_counts":[2],"parallelisms":[2],"latencies":[1e18],"remote_fractions":[0.5]}}"#,
+                "engine clock",
+            ),
         ];
         for (label, json, needle) in cases {
             let err = parse_spec(json).unwrap_err();

@@ -332,6 +332,23 @@ fn deeply_nested_spec_is_a_400_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn sub_tick_cycle_spec_is_a_400_and_the_daemon_keeps_serving() {
+    // With a 1e-4 ns cycle every event rounds to tick 0 and the unit never
+    // finished, pinning the worker for good; validation now refuses it.
+    let addr = start(&ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let body = br#"{"schema_version":1,"name":"h","description":"d","model":"parcels","config":{"horizon_cycles":1.0,"cycle_ns":1e-4},"grid":{"node_counts":[1],"parallelisms":[1],"latencies":[0.0],"remote_fractions":[0.05]}}"#;
+    let resp = client::request(&addr, "POST", "/run", &[], body).expect("sub-tick spec");
+    assert_eq!(resp.status, 400);
+    let text = String::from_utf8_lossy(&resp.body);
+    assert!(text.contains("cycle_ns"), "{text}");
+    let health = client::request(&addr, "GET", "/healthz", &[], b"").expect("healthz after");
+    assert_eq!(health.status, 200);
+}
+
+#[test]
 fn silent_connections_are_reaped_with_408_and_the_daemon_keeps_serving() {
     let addr = start(&ServeOptions {
         workers: 1,

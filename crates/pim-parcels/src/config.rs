@@ -7,8 +7,18 @@
 //! (average number of active parcels per processor) and the per-parcel handling
 //! overhead.
 
+use desim::time::TICKS_PER_NS;
 use pim_workload::InstructionMix;
 use serde::{Deserialize, Serialize};
+
+/// The shortest clock period the engine can represent: one tick (1 ps). A shorter
+/// cycle rounds to zero ticks, so a run could issue remote accesses forever without
+/// simulated time reaching the horizon.
+const MIN_CYCLE_NS: f64 = 1.0 / TICKS_PER_NS as f64;
+
+/// The longest stretch of simulated time a configuration may span, in ticks: event
+/// times stay below twice this, well inside the engine's 64-bit clock.
+const MAX_SPAN_TICKS: f64 = (1u64 << 62) as f64;
 
 /// Parameters shared by the control and test systems of the parcel study.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -73,8 +83,11 @@ impl ParcelConfig {
                 return Err(format!("{name} must be finite, got {value}"));
             }
         }
-        if self.cycle_ns <= 0.0 {
-            return Err("cycle time must be positive".into());
+        if self.cycle_ns < MIN_CYCLE_NS {
+            return Err(format!(
+                "cycle_ns must be at least one engine tick ({MIN_CYCLE_NS} ns), got {}",
+                self.cycle_ns
+            ));
         }
         if !(0.0..=1.0).contains(&self.remote_fraction) {
             return Err(format!(
@@ -96,6 +109,22 @@ impl ParcelConfig {
         }
         if self.local_memory_cycles < 1.0 {
             return Err("local memory access must take at least one cycle".into());
+        }
+        // No event lies later than the horizon plus the longest single delay: a run
+        // (at most the horizon) with its issue cost, a remote service, or a round trip.
+        let span_cycles = self.horizon_cycles
+            + 1.0
+            + self.parcel_overhead_cycles
+            + self.local_memory_cycles
+            + self.round_trip_cycles();
+        let span_ticks = span_cycles * self.cycle_ns * TICKS_PER_NS as f64;
+        if span_ticks >= MAX_SPAN_TICKS {
+            return Err(format!(
+                "horizon_cycles and latency_cycles span {span_cycles:e} cycles of {} ns, \
+                 more than the engine clock holds ({:e} ns)",
+                self.cycle_ns,
+                MAX_SPAN_TICKS / TICKS_PER_NS as f64
+            ));
         }
         Ok(())
     }
@@ -215,6 +244,47 @@ mod tests {
             f(&mut c);
             assert!(c.validate().is_err());
         }
+    }
+
+    #[test]
+    fn cycle_below_one_engine_tick_is_rejected() {
+        // 1e-4 ns rounds every round trip and a one-cycle horizon to tick 0: the
+        // control node re-issued forever at time zero.
+        for cycle_ns in [1e-4, 0.000_999, 0.0] {
+            let c = ParcelConfig {
+                cycle_ns,
+                ..Default::default()
+            };
+            let err = c.validate().expect_err("sub-tick cycle accepted");
+            assert!(err.contains("cycle_ns"), "{err}");
+        }
+        let one_tick = ParcelConfig {
+            cycle_ns: MIN_CYCLE_NS,
+            ..Default::default()
+        };
+        assert!(one_tick.validate().is_ok());
+    }
+
+    #[test]
+    fn spans_beyond_the_engine_clock_are_rejected() {
+        // A 1e18-cycle latency at 1 ns overflowed the tick counter: the engine
+        // panicked scheduling a reply "into the past".
+        for f in [
+            |c: &mut ParcelConfig| c.latency_cycles = 1e18,
+            |c: &mut ParcelConfig| c.horizon_cycles = 1e19,
+            |c: &mut ParcelConfig| c.parcel_overhead_cycles = 1e19,
+        ] {
+            let mut c = ParcelConfig::default();
+            f(&mut c);
+            let err = c.validate().expect_err("overflowing span accepted");
+            assert!(err.contains("engine clock"), "{err}");
+        }
+        let long = ParcelConfig {
+            latency_cycles: 1e12,
+            horizon_cycles: 1e12,
+            ..Default::default()
+        };
+        assert!(long.validate().is_ok());
     }
 
     #[test]

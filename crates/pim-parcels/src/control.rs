@@ -10,6 +10,13 @@
 //! zero-latency network. Nodes are independent: the paper's flat-latency network has no
 //! contention, and remote requests are serviced by the destination's memory without
 //! consuming its processor.
+//!
+//! [`run_control`] exploits that independence: it is a **per-node kernel** that runs
+//! each node on its own, as a plain loop (run → issue → wait for the reply → run),
+//! because a node only ever has one pending event. It skips the destination draws,
+//! whose values cannot change a flat latency, and otherwise makes the same draws with
+//! the same expressions as [`ControlSystem`], the discrete-event reference model, so
+//! the two agree bit for bit.
 
 use crate::config::ParcelConfig;
 use crate::network::NetworkModel;
@@ -26,7 +33,7 @@ pub enum ControlEvent {
     ReplyArrived(usize),
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 enum Phase {
     /// Executing a run that will complete `ops` operations over `cycles` cycles.
     Busy {
@@ -37,9 +44,11 @@ enum Phase {
     /// Blocked waiting for a remote reply.
     Waiting,
     /// Past the horizon / never started.
+    #[default]
     Done,
 }
 
+#[derive(Default)]
 struct ControlNode {
     phase: Phase,
     work_ops: u64,
@@ -47,7 +56,76 @@ struct ControlNode {
     remote_accesses: u64,
 }
 
-/// Discrete-event model of the control system.
+impl ControlNode {
+    /// Start a run at `now_cycles`, drawing it from `stream`. Returns the delay until
+    /// it completes, or `None` (and goes `Done`) when the horizon has already passed.
+    fn start_run(
+        &mut self,
+        config: &ParcelConfig,
+        sampler: &RunSampler,
+        stream: &mut RandomStream,
+        now_cycles: f64,
+    ) -> Option<SimDuration> {
+        let remaining = (config.horizon_cycles - now_cycles).max(0.0);
+        if remaining <= 0.0 {
+            self.phase = Phase::Done;
+            return None;
+        }
+        let (run, _ends_remote) = sampler.sample_run(remaining, stream);
+        self.phase = Phase::Busy {
+            started_cycles: now_cycles,
+            ops: run.ops,
+            cycles: run.cycles,
+        };
+        Some(SimDuration::from_ns_f64(run.cycles * config.cycle_ns))
+    }
+
+    /// Credit the run that completed at `now_cycles`. Unless the horizon has passed,
+    /// issue the remote request (one busy cycle) and block: returns whether it did.
+    fn finish_run(&mut self, horizon_cycles: f64, now_cycles: f64) -> bool {
+        if let Phase::Busy { ops, cycles, .. } = self.phase {
+            self.work_ops += ops;
+            self.busy_cycles += cycles;
+        }
+        if (horizon_cycles - now_cycles).max(0.0) <= 0.0 {
+            self.phase = Phase::Done;
+            return false;
+        }
+        self.remote_accesses += 1;
+        self.busy_cycles += 1.0;
+        self.phase = Phase::Waiting;
+        true
+    }
+
+    /// The node's accounting at `horizon`, pro-rating a run the horizon cut off.
+    fn outcome(&self, horizon: f64) -> NodeOutcome {
+        let mut work = self.work_ops;
+        let mut busy = self.busy_cycles;
+        match self.phase {
+            Phase::Busy {
+                started_cycles,
+                ops,
+                cycles,
+            } => {
+                let elapsed = (horizon - started_cycles).max(0.0).min(cycles);
+                busy += elapsed;
+                if cycles > 0.0 {
+                    work += (ops as f64 * elapsed / cycles).floor() as u64;
+                }
+            }
+            Phase::Waiting | Phase::Done => {}
+        }
+        NodeOutcome {
+            work_ops: work,
+            busy_cycles: busy.min(horizon),
+            idle_cycles: (horizon - busy).max(0.0),
+            remote_accesses: self.remote_accesses,
+        }
+    }
+}
+
+/// Discrete-event model of the control system: the reference model for
+/// [`run_control`].
 pub struct ControlSystem {
     config: ParcelConfig,
     sampler: RunSampler,
@@ -81,14 +159,7 @@ impl ControlSystem {
         ControlSystem {
             sampler: RunSampler::new(&config),
             network,
-            nodes: (0..config.nodes)
-                .map(|_| ControlNode {
-                    phase: Phase::Done,
-                    work_ops: 0,
-                    busy_cycles: 0.0,
-                    remote_accesses: 0,
-                })
-                .collect(),
+            nodes: (0..config.nodes).map(|_| ControlNode::default()).collect(),
             streams: (0..config.nodes)
                 .map(|i| RandomStream::new(seed, 0x1000 + i as u64))
                 .collect(),
@@ -99,10 +170,6 @@ impl ControlSystem {
 
     fn cycles_of(&self, t: SimTime) -> f64 {
         t.as_ns_f64() / self.config.cycle_ns
-    }
-
-    fn remaining_cycles(&self, now_cycles: f64) -> f64 {
-        (self.config.horizon_cycles - now_cycles).max(0.0)
     }
 
     /// One-way latency of the remote access issued by `src`. In a single-node system a
@@ -123,21 +190,14 @@ impl ControlSystem {
 
     fn start_run(&mut self, node: usize, now: SimTime, sched: &mut Scheduler<ControlEvent>) {
         let now_cycles = self.cycles_of(now);
-        let remaining = self.remaining_cycles(now_cycles);
-        if remaining <= 0.0 {
-            self.nodes[node].phase = Phase::Done;
-            return;
+        if let Some(delay) = self.nodes[node].start_run(
+            &self.config,
+            &self.sampler,
+            &mut self.streams[node],
+            now_cycles,
+        ) {
+            sched.schedule_in(delay, ControlEvent::RunDone(node));
         }
-        let (run, _ends_remote) = self.sampler.sample_run(remaining, &mut self.streams[node]);
-        self.nodes[node].phase = Phase::Busy {
-            started_cycles: now_cycles,
-            ops: run.ops,
-            cycles: run.cycles,
-        };
-        sched.schedule_in(
-            SimDuration::from_ns_f64(run.cycles * self.config.cycle_ns),
-            ControlEvent::RunDone(node),
-        );
     }
 
     /// Seed the initial run of every node.
@@ -150,31 +210,7 @@ impl ControlSystem {
     /// Collect the outcome, pro-rating any period cut off by the horizon.
     pub fn outcome(&self) -> SystemOutcome {
         let horizon = self.config.horizon_cycles;
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        for n in &self.nodes {
-            let mut work = n.work_ops;
-            let mut busy = n.busy_cycles;
-            match n.phase {
-                Phase::Busy {
-                    started_cycles,
-                    ops,
-                    cycles,
-                } => {
-                    let elapsed = (horizon - started_cycles).max(0.0).min(cycles);
-                    busy += elapsed;
-                    if cycles > 0.0 {
-                        work += (ops as f64 * elapsed / cycles).floor() as u64;
-                    }
-                }
-                Phase::Waiting | Phase::Done => {}
-            }
-            nodes.push(NodeOutcome {
-                work_ops: work,
-                busy_cycles: busy.min(horizon),
-                idle_cycles: (horizon - busy).max(0.0),
-                remote_accesses: n.remote_accesses,
-            });
-        }
+        let nodes = self.nodes.iter().map(|n| n.outcome(horizon)).collect();
         SystemOutcome::from_nodes(horizon, nodes)
     }
 }
@@ -186,20 +222,11 @@ impl Model for ControlSystem {
         match event {
             ControlEvent::RunDone(node) => {
                 let now_cycles = self.cycles_of(now);
-                // Credit the completed run.
-                if let Phase::Busy { ops, cycles, .. } = self.nodes[node].phase {
-                    self.nodes[node].work_ops += ops;
-                    self.nodes[node].busy_cycles += cycles;
-                }
-                if self.remaining_cycles(now_cycles) <= 0.0 {
-                    self.nodes[node].phase = Phase::Done;
+                if !self.nodes[node].finish_run(self.config.horizon_cycles, now_cycles) {
                     return;
                 }
-                // Issue the remote request: one busy cycle, then block for the round trip.
-                self.nodes[node].remote_accesses += 1;
-                self.nodes[node].busy_cycles += 1.0;
+                // Block for the issue cycle plus the round trip.
                 let round_trip = 2.0 * self.one_way_latency(node);
-                self.nodes[node].phase = Phase::Waiting;
                 sched.schedule_in(
                     SimDuration::from_ns_f64((1.0 + round_trip) * self.config.cycle_ns),
                     ControlEvent::ReplyArrived(node),
@@ -212,125 +239,48 @@ impl Model for ControlSystem {
     }
 }
 
-/// Run the control system to its horizon and return the outcome.
+/// Run the control system to its horizon on the paper's flat-latency network, one
+/// node at a time (the per-node kernel; see the module docs). Bit-identical to
+/// [`ControlSystem`] run on the engine.
+///
+/// # Panics
+///
+/// If `config` does not validate.
 pub fn run_control(config: ParcelConfig, seed: u64) -> SystemOutcome {
-    run_control_with_network(
-        config,
-        Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
-        seed,
-    )
-}
-
-/// Run the control system with an explicit network model.
-pub fn run_control_with_network(
-    config: ParcelConfig,
-    network: Box<dyn NetworkModel + Send>,
-    seed: u64,
-) -> SystemOutcome {
-    if config.remote_prob_per_op() <= 0.0 {
-        config
-            .validate()
-            // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-            .expect("invalid parcel-study configuration");
-        if let Some(out) = zero_remote_outcome(&config, network.as_ref(), seed) {
-            return out;
-        }
-    }
-    run_control_des(config, network, seed)
-}
-
-/// Run the control system through the full discrete-event engine, without the
-/// zero-remote closed-form short-circuit. Kept as a separate entry point so the
-/// closed form can be checked against the engine bit-for-bit.
-fn run_control_des(
-    config: ParcelConfig,
-    network: Box<dyn NetworkModel + Send>,
-    seed: u64,
-) -> SystemOutcome {
+    config
+        .validate()
+        // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
+        .expect("invalid parcel-study configuration");
+    let sampler = RunSampler::new(&config);
     let horizon = SimTime::from_ns_f64(config.horizon_ns());
-    let model = ControlSystem::with_network(config, network, seed);
-    let mut sim = Simulation::new(model);
-    sim.set_horizon(horizon);
-    sim.init(|m, sched| m.start(sched));
-    sim.run();
-    sim.model().outcome()
-}
-
-/// Closed-form outcome of a run whose remote probability per operation is zero.
-///
-/// Every node's single run fills the whole horizon (no RNG draws) and its
-/// `RunDone` lands exactly on the engine's horizon tick. Requantizing that tick
-/// back to cycles leaves a sub-tick residue `eps`:
-///
-/// * `eps <= 0`: the node goes straight to `Done` — its outcome is the run
-///   alone, with no remote access;
-/// * `eps > 0`: the node still issues one remote request (one busy cycle plus a
-///   destination draw, in node order), blocks, and the reply lands beyond the
-///   horizon — unless the reply delay itself rounds to zero ticks, in which
-///   case the node would start further runs and the pattern is no longer
-///   degenerate: return `None` and let the caller fall back to the engine.
-///
-/// All arithmetic replicates the engine path (same expressions, same
-/// accumulation order, same `dest_stream` draw sequence), so the result is
-/// bit-identical to [`run_control_des`] while costing O(nodes) instead of
-/// O(events).
-fn zero_remote_outcome(
-    config: &ParcelConfig,
-    network: &(dyn NetworkModel + Send),
-    seed: u64,
-) -> Option<SystemOutcome> {
-    let sampler = RunSampler::new(config);
-    let mean = sampler.mean_local_op_cycles();
-    let horizon = config.horizon_cycles;
-    let ops0 = if mean > 0.0 {
-        (horizon / mean).floor() as u64
-    } else {
-        0
-    };
-    // The run completes on the horizon tick; requantize it back to cycles
-    // exactly as `ControlSystem::cycles_of` does.
-    let done = SimDuration::from_ns_f64(horizon * config.cycle_ns);
-    let now_cycles = done.as_ns_f64() / config.cycle_ns;
-    let eps = horizon - now_cycles;
-
-    let n = config.nodes;
-    let mut dest_stream = RandomStream::new(seed, 0xDE57);
-    let mut nodes = Vec::with_capacity(n);
-    for src in 0..n {
-        let mut busy = 0.0;
-        busy += horizon;
-        let mut remote_accesses = 0;
-        if eps > 0.0 {
-            // The node issues its remote request at the horizon tick; the
-            // destination draws happen in node order, exactly as the engine
-            // dispatches the same-tick `RunDone` events.
-            let one_way = if n <= 1 {
-                config.latency_cycles
-            } else {
-                let mut d = dest_stream.below(n as u64 - 1) as usize;
-                if d >= src {
-                    d += 1;
+    let reply = SimDuration::from_ns_f64((1.0 + 2.0 * config.latency_cycles) * config.cycle_ns);
+    let nodes = (0..config.nodes)
+        .map(|node| {
+            let mut stream = RandomStream::new(seed, 0x1000 + node as u64);
+            let mut state = ControlNode::default();
+            // The node's one pending event lies `delay` after the last one: a
+            // `RunDone` while `Busy`, a `ReplyArrived` while `Waiting`, none once
+            // `Done`.
+            let mut at = SimTime::ZERO;
+            let mut delay = state.start_run(&config, &sampler, &mut stream, 0.0);
+            while let Some(d) = delay {
+                at += d;
+                if at > horizon {
+                    break;
                 }
-                network.latency_cycles(src, d)
-            };
-            let round_trip = 2.0 * one_way;
-            let delay = SimDuration::from_ns_f64((1.0 + round_trip) * config.cycle_ns);
-            if delay == SimDuration::ZERO {
-                // The reply would land inside the horizon tick and trigger
-                // further runs; not the degenerate pattern.
-                return None;
+                let now_cycles = at.as_ns_f64() / config.cycle_ns;
+                delay = if let Phase::Waiting = state.phase {
+                    state.start_run(&config, &sampler, &mut stream, now_cycles)
+                } else {
+                    state
+                        .finish_run(config.horizon_cycles, now_cycles)
+                        .then_some(reply)
+                };
             }
-            busy += 1.0;
-            remote_accesses = 1;
-        }
-        nodes.push(NodeOutcome {
-            work_ops: ops0,
-            busy_cycles: busy.min(horizon),
-            idle_cycles: (horizon - busy).max(0.0),
-            remote_accesses,
-        });
-    }
-    Some(SystemOutcome::from_nodes(horizon, nodes))
+            state.outcome(config.horizon_cycles)
+        })
+        .collect();
+    SystemOutcome::from_nodes(config.horizon_cycles, nodes)
 }
 
 #[cfg(test)]
@@ -426,42 +376,6 @@ mod tests {
         for n in &out.nodes {
             assert!((n.busy_cycles + n.idle_cycles - base_config().horizon_cycles).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn zero_remote_closed_form_matches_the_engine_bitwise() {
-        // The short-circuit must reproduce the DES outcome exactly — including
-        // the destination-stream draws and the sub-tick quantization residue
-        // cases — across clock rates, horizons and node counts. Both a zero
-        // remote fraction and a zero memory fraction make the remote
-        // probability zero.
-        let mut checked = 0;
-        for (cycle_ns, horizon_cycles) in [(1.0, 100_000.0), (0.7, 123_456.789), (3.3, 99_999.5)] {
-            for nodes in [1usize, 4] {
-                for (remote_fraction, memory_fraction) in [(0.0, 0.3), (0.5, 0.0)] {
-                    let config = ParcelConfig {
-                        nodes,
-                        cycle_ns,
-                        horizon_cycles,
-                        remote_fraction,
-                        mix: pim_workload::InstructionMix::with_memory_fraction(memory_fraction),
-                        ..Default::default()
-                    };
-                    assert!(config.remote_prob_per_op() <= 0.0);
-                    let network = crate::network::FlatLatency::new(config.latency_cycles);
-                    let fast = zero_remote_outcome(&config, &network, 77)
-                        .expect("closed form applies to sane clock rates");
-                    let slow = run_control_des(config, Box::new(network), 77);
-                    assert_eq!(fast, slow, "config {config:?}");
-                    for (a, b) in fast.nodes.iter().zip(&slow.nodes) {
-                        assert_eq!(a.busy_cycles.to_bits(), b.busy_cycles.to_bits());
-                        assert_eq!(a.idle_cycles.to_bits(), b.idle_cycles.to_bits());
-                    }
-                    checked += 1;
-                }
-            }
-        }
-        assert_eq!(checked, 3 * 2 * 2);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! * [`network`] provides the paper's flat-latency network plus mesh/torus ablations.
 //! * [`control`] is the blocking control system; [`test_system`] is the
 //!   split-transaction test system with configurable parallelism, parcel-handling
-//!   overhead, and an optional message-driven remote-servicing mode (Figure 9).
+//!   overhead, and an optional message-driven remote-servicing mode (Figure 9). The
+//!   paper's flat-latency case runs on per-node kernels ([`control::run_control`],
+//!   [`test_system::run_test`]), bit-identical to the discrete-event models
+//!   ([`control::ControlSystem`], [`test_system::TestSystem`]) that the engine runs.
 //! * [`experiment`] sweeps the Figure 11 and Figure 12 grids; [`results`] renders the
 //!   corresponding tables.
 //!
@@ -47,7 +50,7 @@ pub mod test_system;
 /// Convenient glob import for the study-2 API.
 pub mod prelude {
     pub use crate::config::ParcelConfig;
-    pub use crate::control::{run_control, run_control_with_network, ControlSystem};
+    pub use crate::control::{run_control, ControlSystem};
     pub use crate::experiment::{
         evaluate_idle_point, evaluate_point, point_seed, run_idle_time, run_latency_hiding,
         IdleTimePoint, IdleTimeSpec, LatencyHidingPoint, LatencyHidingSpec,

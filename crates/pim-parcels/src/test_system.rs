@@ -23,6 +23,22 @@
 //!   execution unit (competing with that node's own contexts), and the reply travels
 //!   back. This is the ablation that shows when incoming-parcel service begins to eat
 //!   into a node's own throughput.
+//!
+//! Two entry points run the model:
+//!
+//! * [`run_test`] is the paper's case — flat latency, memory-side servicing — and runs
+//!   a **per-node kernel**. Under those rules the nodes never interact: a remote
+//!   request costs the destination nothing, and a flat network gives every round trip
+//!   the same delay whatever the destination. So the system is `nodes` independent
+//!   simulations, each with its own random stream. The kernel runs them one after
+//!   another, without the engine's global event queue and without the destination
+//!   draws, whose values cannot change a flat latency. Within one node it dispatches
+//!   events in the engine's `(time, priority, seq)` order and makes the same draws with
+//!   the same expressions, so its outcome is bit-identical to the discrete-event model.
+//! * [`run_test_with_options`] runs [`TestSystem`], the discrete-event reference model,
+//!   on the engine. It serves the mesh and torus networks and message-driven servicing,
+//!   where the nodes do interact (through per-pair latencies drawn from a shared
+//!   destination stream, or through a destination's execution unit).
 
 use crate::config::ParcelConfig;
 use crate::network::NetworkModel;
@@ -80,6 +96,7 @@ struct RunningJob {
     completion: Completion,
 }
 
+#[derive(Default)]
 struct TestNode {
     ready: VecDeque<Job>,
     running: Option<RunningJob>,
@@ -88,7 +105,94 @@ struct TestNode {
     remote_accesses: u64,
 }
 
-/// Discrete-event model of the split-transaction test system.
+impl TestNode {
+    /// Retire the running job: credit its work and busy time, count the remote access
+    /// it ends in, and return what happens next.
+    fn finish_job(&mut self) -> Completion {
+        let finished = self
+            .running
+            .take()
+            // audit:allow(unwrap-in-library): a ServiceDone event is only scheduled while a job occupies the node
+            .expect("service-done without a job");
+        self.work_ops += finished.ops;
+        self.busy_cycles += finished.duration_cycles;
+        if let Completion::IssueRemote { .. } = finished.completion {
+            self.remote_accesses += 1;
+        }
+        finished.completion
+    }
+
+    /// The node's accounting at `horizon`, pro-rating a job the horizon cut off.
+    fn outcome(&self, horizon: f64) -> NodeOutcome {
+        let mut work = self.work_ops;
+        let mut busy = self.busy_cycles;
+        if let Some(run) = self.running {
+            let elapsed = (horizon - run.started_cycles)
+                .max(0.0)
+                .min(run.duration_cycles);
+            busy += elapsed;
+            if run.duration_cycles > 0.0 {
+                work += (run.ops as f64 * elapsed / run.duration_cycles).floor() as u64;
+            }
+        }
+        NodeOutcome {
+            work_ops: work,
+            busy_cycles: busy.min(horizon),
+            idle_cycles: (horizon - busy).max(0.0),
+            remote_accesses: self.remote_accesses,
+        }
+    }
+}
+
+/// The job that starts when `job` gets the execution unit at `now_cycles`, or `None`
+/// when the horizon has already passed. Local work draws its run from `stream`.
+fn begin_job(
+    config: &ParcelConfig,
+    sampler: &RunSampler,
+    stream: &mut RandomStream,
+    job: Job,
+    now_cycles: f64,
+) -> Option<RunningJob> {
+    let remaining = (config.horizon_cycles - now_cycles).max(0.0);
+    if remaining <= 0.0 {
+        return None;
+    }
+    Some(match job {
+        Job::Local { ctx } => {
+            let (run, ends_remote) = sampler.sample_run(remaining, stream);
+            let issue = if ends_remote {
+                1.0 + config.parcel_overhead_cycles
+            } else {
+                0.0
+            };
+            RunningJob {
+                started_cycles: now_cycles,
+                duration_cycles: run.cycles + issue,
+                ops: run.ops,
+                completion: if ends_remote {
+                    Completion::IssueRemote { ctx }
+                } else {
+                    Completion::None
+                },
+            }
+        }
+        Job::Remote {
+            reply_node,
+            reply_ctx,
+        } => RunningJob {
+            started_cycles: now_cycles,
+            duration_cycles: config.local_memory_cycles + config.parcel_overhead_cycles,
+            ops: 1,
+            completion: Completion::Reply {
+                node: reply_node,
+                ctx: reply_ctx,
+            },
+        },
+    })
+}
+
+/// Discrete-event model of the split-transaction test system: the reference model,
+/// run on the engine by [`run_test_with_options`].
 pub struct TestSystem {
     config: ParcelConfig,
     sampler: RunSampler,
@@ -126,15 +230,7 @@ impl TestSystem {
             sampler: RunSampler::new(&config),
             network,
             remote_service,
-            nodes: (0..config.nodes)
-                .map(|_| TestNode {
-                    ready: VecDeque::new(),
-                    running: None,
-                    work_ops: 0,
-                    busy_cycles: 0.0,
-                    remote_accesses: 0,
-                })
-                .collect(),
+            nodes: (0..config.nodes).map(|_| TestNode::default()).collect(),
             streams: (0..config.nodes)
                 .map(|i| RandomStream::new(seed, 0x2000 + i as u64))
                 .collect(),
@@ -145,10 +241,6 @@ impl TestSystem {
 
     fn cycles_of(&self, t: SimTime) -> f64 {
         t.as_ns_f64() / self.config.cycle_ns
-    }
-
-    fn remaining_cycles(&self, now_cycles: f64) -> f64 {
-        (self.config.horizon_cycles - now_cycles).max(0.0)
     }
 
     /// Pick the destination node of a remote access from `src`. A single-node system
@@ -188,43 +280,14 @@ impl TestSystem {
             self.nodes[node].running.is_none(),
             "execution unit already busy"
         );
-        let remaining = self.remaining_cycles(now_cycles);
-        if remaining <= 0.0 {
+        let Some(running) = begin_job(
+            &self.config,
+            &self.sampler,
+            &mut self.streams[node],
+            job,
+            now_cycles,
+        ) else {
             return;
-        }
-        let running = match job {
-            Job::Local { ctx } => {
-                let (run, ends_remote) =
-                    self.sampler.sample_run(remaining, &mut self.streams[node]);
-                let issue = if ends_remote {
-                    1.0 + self.config.parcel_overhead_cycles
-                } else {
-                    0.0
-                };
-                RunningJob {
-                    started_cycles: now_cycles,
-                    duration_cycles: run.cycles + issue,
-                    ops: run.ops,
-                    completion: if ends_remote {
-                        Completion::IssueRemote { ctx }
-                    } else {
-                        Completion::None
-                    },
-                }
-            }
-            Job::Remote {
-                reply_node,
-                reply_ctx,
-            } => RunningJob {
-                started_cycles: now_cycles,
-                duration_cycles: self.config.local_memory_cycles
-                    + self.config.parcel_overhead_cycles,
-                ops: 1,
-                completion: Completion::Reply {
-                    node: reply_node,
-                    ctx: reply_ctx,
-                },
-            },
         };
         sched.schedule_in(
             SimDuration::from_ns_f64(running.duration_cycles * self.config.cycle_ns),
@@ -260,26 +323,7 @@ impl TestSystem {
     /// Collect the outcome, pro-rating any job cut off by the horizon.
     pub fn outcome(&self) -> SystemOutcome {
         let horizon = self.config.horizon_cycles;
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        for n in &self.nodes {
-            let mut work = n.work_ops;
-            let mut busy = n.busy_cycles;
-            if let Some(run) = n.running {
-                let elapsed = (horizon - run.started_cycles)
-                    .max(0.0)
-                    .min(run.duration_cycles);
-                busy += elapsed;
-                if run.duration_cycles > 0.0 {
-                    work += (run.ops as f64 * elapsed / run.duration_cycles).floor() as u64;
-                }
-            }
-            nodes.push(NodeOutcome {
-                work_ops: work,
-                busy_cycles: busy.min(horizon),
-                idle_cycles: (horizon - busy).max(0.0),
-                remote_accesses: n.remote_accesses,
-            });
-        }
+        let nodes = self.nodes.iter().map(|n| n.outcome(horizon)).collect();
         SystemOutcome::from_nodes(horizon, nodes)
     }
 }
@@ -291,17 +335,9 @@ impl Model for TestSystem {
         let now_cycles = self.cycles_of(now);
         match event {
             TestEvent::ServiceDone(node) => {
-                let finished = self.nodes[node]
-                    .running
-                    .take()
-                    // audit:allow(unwrap-in-library): a ServiceDone event is only scheduled while a job occupies the node
-                    .expect("service-done without a job");
-                self.nodes[node].work_ops += finished.ops;
-                self.nodes[node].busy_cycles += finished.duration_cycles;
-                match finished.completion {
+                match self.nodes[node].finish_job() {
                     Completion::None => {}
                     Completion::IssueRemote { ctx } => {
-                        self.nodes[node].remote_accesses += 1;
                         let dst = self.pick_destination(node);
                         let one_way = self.one_way_latency(node, dst);
                         match self.remote_service {
@@ -353,37 +389,130 @@ impl Model for TestSystem {
     }
 }
 
-/// Run the test system to its horizon with memory-side remote servicing.
+/// Run the test system to its horizon on the paper's flat-latency network with
+/// memory-side remote servicing, one node at a time (the per-node kernel; see the
+/// module docs). Bit-identical to [`TestSystem`] run on the engine.
+///
+/// # Panics
+///
+/// If `config` does not validate.
 pub fn run_test(config: ParcelConfig, seed: u64) -> SystemOutcome {
-    run_test_with_options(
-        config,
-        Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
-        RemoteService::MemorySide,
-        seed,
-    )
+    config
+        .validate()
+        // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
+        .expect("invalid parcel-study configuration");
+    let sampler = RunSampler::new(&config);
+    let nodes = (0..config.nodes)
+        .map(|node| {
+            NodeKernel {
+                config: &config,
+                sampler: &sampler,
+                stream: RandomStream::new(seed, 0x2000 + node as u64),
+                node: TestNode::default(),
+                service_done: (SimTime::ZERO, 0),
+                returns: VecDeque::new(),
+                next_seq: 0,
+            }
+            .run()
+        })
+        .collect();
+    SystemOutcome::from_nodes(config.horizon_cycles, nodes)
 }
 
-/// Run the test system with an explicit network and remote-servicing mode.
-pub fn run_test_with_options(
-    config: ParcelConfig,
-    network: Box<dyn NetworkModel + Send>,
-    remote_service: RemoteService,
-    seed: u64,
-) -> SystemOutcome {
-    if config.remote_prob_per_op() <= 0.0 {
-        config
-            .validate()
-            // audit:allow(unwrap-in-library): constructor contract — an invalid config is a caller bug and fails loudly
-            .expect("invalid parcel-study configuration");
-        return zero_remote_outcome(&config);
+/// One node of the flat-latency, memory-side test system, simulated on its own.
+///
+/// Its pending events are at most one `ServiceDone` (exactly while a job runs) and the
+/// parcel returns in flight. Every return is delayed by the same round trip, so the
+/// returns form a FIFO sorted by time. Each event carries the node-local sequence
+/// number of its scheduling; the engine's global sequence numbers, restricted to one
+/// node, are in the same order, so dispatching the smaller head by `(time, seq)`
+/// replays the engine's order (every event has priority 0).
+struct NodeKernel<'a> {
+    config: &'a ParcelConfig,
+    sampler: &'a RunSampler,
+    stream: RandomStream,
+    node: TestNode,
+    /// Time and sequence number of the pending `ServiceDone`; meaningful only while
+    /// `node.running` is set.
+    service_done: (SimTime, u64),
+    /// Parcel returns in flight: arrival time, sequence number, context.
+    returns: VecDeque<(SimTime, u64, usize)>,
+    next_seq: u64,
+}
+
+impl NodeKernel<'_> {
+    fn seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
-    run_test_des(config, network, remote_service, seed)
+
+    /// [`TestSystem::start_job`] for this node.
+    fn start_job(&mut self, job: Job, now: SimTime, now_cycles: f64) {
+        let Some(running) = begin_job(self.config, self.sampler, &mut self.stream, job, now_cycles)
+        else {
+            return;
+        };
+        let done = now + SimDuration::from_ns_f64(running.duration_cycles * self.config.cycle_ns);
+        self.service_done = (done, self.seq());
+        self.node.running = Some(running);
+    }
+
+    /// [`TestSystem::make_ready`] for this node.
+    fn make_ready(&mut self, ctx: usize, now: SimTime, now_cycles: f64) {
+        if self.node.running.is_none() {
+            self.start_job(Job::Local { ctx }, now, now_cycles);
+        } else {
+            self.node.ready.push_back(Job::Local { ctx });
+        }
+    }
+
+    /// Run the node to the horizon and return its outcome.
+    fn run(mut self) -> NodeOutcome {
+        let config = self.config;
+        let horizon = SimTime::from_ns_f64(config.horizon_ns());
+        let round_trip = SimDuration::from_ns_f64(2.0 * config.latency_cycles * config.cycle_ns);
+        for ctx in 0..config.parallelism {
+            self.make_ready(ctx, SimTime::ZERO, 0.0);
+        }
+        loop {
+            let next_return = self.returns.front().copied();
+            let service_done = self.node.running.map(|_| self.service_done);
+            let (now, returning) = match (next_return, service_done) {
+                (Some((at, seq, ctx)), Some(done)) if (at, seq) < done => (at, Some(ctx)),
+                (_, Some((at, _))) => (at, None),
+                (Some((at, _, ctx)), None) => (at, Some(ctx)),
+                (None, None) => break,
+            };
+            if now > horizon {
+                break;
+            }
+            let now_cycles = now.as_ns_f64() / config.cycle_ns;
+            if let Some(ctx) = returning {
+                self.returns.pop_front();
+                self.make_ready(ctx, now, now_cycles);
+            } else {
+                // Memory-side servicing runs no remote jobs, so nothing here replies.
+                if let Completion::IssueRemote { ctx } = self.node.finish_job() {
+                    let seq = self.seq();
+                    self.returns.push_back((now + round_trip, seq, ctx));
+                }
+                if let Some(job) = self.node.ready.pop_front() {
+                    self.start_job(job, now, now_cycles);
+                }
+            }
+        }
+        self.node.outcome(config.horizon_cycles)
+    }
 }
 
-/// Run the test system through the full discrete-event engine, without the
-/// zero-remote closed-form short-circuit. Kept as a separate entry point so the
-/// closed form can be checked against the engine bit-for-bit.
-fn run_test_des(
+/// Run the test system with an explicit network and remote-servicing mode, through the
+/// discrete-event engine.
+///
+/// # Panics
+///
+/// If `config` does not validate.
+pub fn run_test_with_options(
     config: ParcelConfig,
     network: Box<dyn NetworkModel + Send>,
     remote_service: RemoteService,
@@ -396,77 +525,6 @@ fn run_test_des(
     sim.init(|m, sched| m.start(sched));
     sim.run();
     sim.model().outcome()
-}
-
-/// Closed-form outcome of a run whose remote probability per operation is zero.
-///
-/// Without remote accesses the DES degenerates to a fixed event pattern: every
-/// node's first context fills the whole horizon with one run (no RNG draws),
-/// its `ServiceDone` lands exactly on the engine's horizon tick, and whatever
-/// happens next is fully determined by the sub-tick quantization residue `eps`
-/// between the configured horizon and that tick requantized to cycles:
-///
-/// * `eps <= 0`: the queued contexts never start — per node the outcome is the
-///   first run alone;
-/// * `eps > 0` and the follow-up run's duration rounds to zero ticks: each
-///   remaining context redispatches and completes at the same tick, adding
-///   `floor(eps / mean)` ops and `eps` busy cycles apiece;
-/// * `eps > 0` and the duration is at least one tick: exactly one follow-up
-///   job starts, is cut by the horizon and prorated by `outcome()`.
-///
-/// Every arithmetic step below replicates the engine path (same expressions,
-/// same accumulation order), so the result is bit-identical to [`run_test_des`]
-/// while costing O(nodes) instead of O(events).
-fn zero_remote_outcome(config: &ParcelConfig) -> SystemOutcome {
-    let sampler = RunSampler::new(config);
-    let mean = sampler.mean_local_op_cycles();
-    let horizon = config.horizon_cycles;
-    // First job: starts at cycle 0, fills the remaining horizon.
-    let ops0 = if mean > 0.0 {
-        (horizon / mean).floor() as u64
-    } else {
-        0
-    };
-    // Its completion lands on the horizon tick; requantize it back to cycles
-    // exactly as `TestSystem::cycles_of` does.
-    let done = SimDuration::from_ns_f64(horizon * config.cycle_ns);
-    let now_cycles = done.as_ns_f64() / config.cycle_ns;
-    let eps = horizon - now_cycles;
-
-    let mut work = ops0;
-    let mut busy = 0.0;
-    busy += horizon;
-    if eps > 0.0 && config.parallelism > 1 {
-        // `start_job` computes the remaining horizon the same way.
-        let remaining = (horizon - now_cycles).max(0.0);
-        let ops2 = if mean > 0.0 {
-            (remaining / mean).floor() as u64
-        } else {
-            0
-        };
-        let d2 = SimDuration::from_ns_f64(remaining * config.cycle_ns);
-        if d2 == SimDuration::ZERO {
-            // Sequential same-tick redispatch: every queued context completes.
-            for _ in 1..config.parallelism {
-                work += ops2;
-                busy += remaining;
-            }
-        } else {
-            // One follow-up job starts and is prorated at the horizon.
-            let elapsed = (horizon - now_cycles).max(0.0).min(remaining);
-            busy += elapsed;
-            if remaining > 0.0 {
-                work += (ops2 as f64 * elapsed / remaining).floor() as u64;
-            }
-        }
-    }
-    let node = NodeOutcome {
-        work_ops: work,
-        busy_cycles: busy.min(horizon),
-        idle_cycles: (horizon - busy).max(0.0),
-        remote_accesses: 0,
-    };
-    SystemOutcome::from_nodes(horizon, vec![node; config.nodes])
 }
 
 #[cfg(test)]
@@ -602,51 +660,6 @@ mod tests {
         // ...but that busy time displaces the node's own local runs, so the *local*
         // work completed per node does not exceed the memory-side mode by much.
         assert!(on_cpu.total_work_ops as f64 <= memory_side.total_work_ops as f64 * 1.35);
-    }
-
-    #[test]
-    fn zero_remote_closed_form_matches_the_engine_bitwise() {
-        // The short-circuit must reproduce the DES outcome exactly — including
-        // the sub-tick quantization residue cases — across clock rates,
-        // horizons, parallelism degrees and node counts. Both a zero remote
-        // fraction and a zero memory fraction make the remote probability zero.
-        let mut checked = 0;
-        for (cycle_ns, horizon_cycles) in [(1.0, 100_000.0), (0.7, 123_456.789), (3.3, 99_999.5)] {
-            for parallelism in [1usize, 4] {
-                for nodes in [1usize, 4] {
-                    for (remote_fraction, memory_fraction) in [(0.0, 0.3), (0.5, 0.0)] {
-                        let config = ParcelConfig {
-                            nodes,
-                            parallelism,
-                            cycle_ns,
-                            horizon_cycles,
-                            remote_fraction,
-                            mix: pim_workload::InstructionMix::with_memory_fraction(
-                                memory_fraction,
-                            ),
-                            ..Default::default()
-                        };
-                        assert!(config.remote_prob_per_op() <= 0.0);
-                        for service in [RemoteService::MemorySide, RemoteService::OnCpu] {
-                            let fast = zero_remote_outcome(&config);
-                            let slow = run_test_des(
-                                config,
-                                Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
-                                service,
-                                91,
-                            );
-                            assert_eq!(fast, slow, "config {config:?} service {service:?}");
-                            for (a, b) in fast.nodes.iter().zip(&slow.nodes) {
-                                assert_eq!(a.busy_cycles.to_bits(), b.busy_cycles.to_bits());
-                                assert_eq!(a.idle_cycles.to_bits(), b.idle_cycles.to_bits());
-                            }
-                            checked += 1;
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(checked, 3 * 2 * 2 * 2 * 2);
     }
 
     #[test]
