@@ -390,4 +390,42 @@ mod tests {
         // With zero latency the only non-work time is the 1-cycle issue per remote access.
         assert!(out.idle_fraction() < 0.05);
     }
+
+    #[test]
+    fn zero_remote_closed_form_matches_the_engine_bitwise() {
+        // With no remote accesses one run fills the horizon, and the outcome has a
+        // closed form up to the sub-tick residue between the horizon and its tick.
+        // The kernel must reproduce the engine's outcome exactly across clock rates,
+        // horizons and node counts. Both a zero remote fraction and a zero memory
+        // fraction make the remote probability zero.
+        let mut checked = 0;
+        for (cycle_ns, horizon_cycles) in [(1.0, 100_000.0), (0.7, 123_456.789), (3.3, 99_999.5)] {
+            for nodes in [1usize, 4] {
+                for (remote_fraction, memory_fraction) in [(0.0, 0.3), (0.5, 0.0)] {
+                    let config = ParcelConfig {
+                        nodes,
+                        cycle_ns,
+                        horizon_cycles,
+                        remote_fraction,
+                        mix: pim_workload::InstructionMix::with_memory_fraction(memory_fraction),
+                        ..Default::default()
+                    };
+                    assert!(config.remote_prob_per_op() <= 0.0);
+                    let fast = run_control(config, 77);
+                    let mut sim = Simulation::new(ControlSystem::new(config, 77));
+                    sim.set_horizon(SimTime::from_ns_f64(config.horizon_ns()));
+                    sim.init(|m, sched| m.start(sched));
+                    sim.run();
+                    let slow = sim.model().outcome();
+                    assert_eq!(fast, slow, "config {config:?}");
+                    for (a, b) in fast.nodes.iter().zip(&slow.nodes) {
+                        assert_eq!(a.busy_cycles.to_bits(), b.busy_cycles.to_bits());
+                        assert_eq!(a.idle_cycles.to_bits(), b.idle_cycles.to_bits());
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 2 * 2);
+    }
 }

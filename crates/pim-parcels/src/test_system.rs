@@ -663,6 +663,53 @@ mod tests {
     }
 
     #[test]
+    fn zero_remote_closed_form_matches_the_engine_bitwise() {
+        // With no remote accesses one run per context fills the horizon, and the
+        // outcome has a closed form up to the sub-tick residue between the horizon
+        // and its tick. The kernel must reproduce the engine's outcome exactly across
+        // clock rates, horizons, parallelism degrees and node counts, under either
+        // servicing mode (no remote access means no servicing). Both a zero remote
+        // fraction and a zero memory fraction make the remote probability zero.
+        let mut checked = 0;
+        for (cycle_ns, horizon_cycles) in [(1.0, 100_000.0), (0.7, 123_456.789), (3.3, 99_999.5)] {
+            for parallelism in [1usize, 4] {
+                for nodes in [1usize, 4] {
+                    for (remote_fraction, memory_fraction) in [(0.0, 0.3), (0.5, 0.0)] {
+                        let config = ParcelConfig {
+                            nodes,
+                            parallelism,
+                            cycle_ns,
+                            horizon_cycles,
+                            remote_fraction,
+                            mix: pim_workload::InstructionMix::with_memory_fraction(
+                                memory_fraction,
+                            ),
+                            ..Default::default()
+                        };
+                        assert!(config.remote_prob_per_op() <= 0.0);
+                        let fast = run_test(config, 91);
+                        for service in [RemoteService::MemorySide, RemoteService::OnCpu] {
+                            let slow = run_test_with_options(
+                                config,
+                                Box::new(crate::network::FlatLatency::new(config.latency_cycles)),
+                                service,
+                                91,
+                            );
+                            assert_eq!(fast, slow, "config {config:?} service {service:?}");
+                            for (a, b) in fast.nodes.iter().zip(&slow.nodes) {
+                                assert_eq!(a.busy_cycles.to_bits(), b.busy_cycles.to_bits());
+                                assert_eq!(a.idle_cycles.to_bits(), b.idle_cycles.to_bits());
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 2 * 2 * 2 * 2);
+    }
+
+    #[test]
     fn remote_accesses_are_counted() {
         let config = ParcelConfig {
             remote_fraction: 0.5,

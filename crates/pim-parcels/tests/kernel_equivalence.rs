@@ -114,32 +114,6 @@ proptest! {
     }
 }
 
-#[test]
-fn zero_remote_points_match_the_engine_bitwise() {
-    // A zero remote fraction or a zero memory fraction makes the remote probability
-    // zero: one run per context fills the horizon, and what follows depends only on
-    // the sub-tick residue between the horizon and its tick.
-    for (cycle_ns, horizon_cycles) in [(1.0, 100_000.0), (0.7, 123_456.789), (3.3, 99_999.5)] {
-        for parallelism in [1usize, 4] {
-            for nodes in [1usize, 4] {
-                for (remote_fraction, memory_fraction) in [(0.0, 0.3), (0.5, 0.0)] {
-                    let config = ParcelConfig {
-                        nodes,
-                        parallelism,
-                        cycle_ns,
-                        horizon_cycles,
-                        remote_fraction,
-                        mix: InstructionMix::with_memory_fraction(memory_fraction),
-                        ..Default::default()
-                    };
-                    assert!(config.remote_prob_per_op() <= 0.0);
-                    assert_kernels_match(config, 91);
-                }
-            }
-        }
-    }
-}
-
 /// The seed the scenario catalog gives builtin `name` at the default base seed
 /// (`pim_harness::SeedPolicy::scenario_seed` over `pim_harness::DEFAULT_SEED`).
 fn catalog_seed(name: &str) -> u64 {
